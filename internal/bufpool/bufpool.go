@@ -27,9 +27,12 @@ const (
 // power-of-two size classes. The zero value is not usable; call New.
 type Pool struct {
 	classes [numClasses]sync.Pool
-	hits    atomic.Int64
-	misses  atomic.Int64
-	puts    atomic.Int64
+	// hdrs recycles the *[]byte headers the class pools store, so
+	// neither Get nor Put allocates once the pool is warm.
+	hdrs   sync.Pool
+	hits   atomic.Int64
+	misses atomic.Int64
+	puts   atomic.Int64
 }
 
 // New returns an empty pool. The per-class sync.Pools have no New hook:
@@ -66,7 +69,10 @@ func (p *Pool) Get(n int) []byte {
 	}
 	if v := p.classes[c].Get(); v != nil {
 		p.hits.Add(1)
-		b := *(v.(*[]byte))
+		h := v.(*[]byte)
+		b := *h
+		*h = nil
+		p.hdrs.Put(h)
 		return b[:n]
 	}
 	p.misses.Add(1)
@@ -81,9 +87,13 @@ func (p *Pool) Put(b []byte) {
 	if c == 0 || c&(c-1) != 0 || c < 1<<minClassBits || c > 1<<maxClassBits {
 		return
 	}
-	b = b[:c]
+	h, _ := p.hdrs.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:c]
 	p.puts.Add(1)
-	p.classes[classFor(c)].Put(&b)
+	p.classes[classFor(c)].Put(h)
 }
 
 // Stats reports pool traffic: hits (Get served from the pool), misses

@@ -79,6 +79,20 @@ func TestConcurrentGetPut(t *testing.T) {
 	wg.Wait()
 }
 
+// TestGetPutNoAllocs pins the steady-state recycle loop at zero heap
+// allocations: Get hands its emptied slice header to Put instead of
+// Put boxing a fresh one per call.
+func TestGetPutNoAllocs(t *testing.T) {
+	p := New()
+	p.Put(p.Get(4096))
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Put(p.Get(4096))
+	})
+	if allocs != 0 {
+		t.Fatalf("Get+Put: %.2f allocs/op, want 0", allocs)
+	}
+}
+
 func BenchmarkGetPut4K(b *testing.B) {
 	p := New()
 	b.ReportAllocs()

@@ -326,7 +326,7 @@ func (fs *FS) SequenceSlice(seed int64, rank, world int) (*Epoch, error) {
 // ReshardSequence) can be placed. The count depends only on the
 // deterministic placement, never on the seed.
 func (fs *FS) EpochUnits() (int, error) {
-	units, err := fs.buildUnits()
+	units, err := fs.unitPlan()
 	if err != nil {
 		return 0, err
 	}

@@ -222,6 +222,12 @@ type FS struct {
 
 	prefetchState // cross-epoch lookahead (Config.CrossEpochPrefetch)
 
+	// planOnce builds the deterministic unit plan on first use; every
+	// epoch, prefetch round and EpochUnits call reads or clones it.
+	planOnce  sync.Once
+	planUnits []unit
+	planErr   error
+
 	// Cluster state (zero/nil on a single-node Mount).
 	rank   int
 	world  int
@@ -519,22 +525,26 @@ type Item struct {
 	Data  []byte
 }
 
-// unit mirrors the core package's fetch granule.
+// unit mirrors the core package's fetch granule. A fetched unit holds
+// its payload in exactly one of two forms: chunks (a chunked wire read
+// landed the raw byte range in the cache arena, and NextBatch copies
+// each sample out) or records.
 type unit struct {
 	seq     int // position in this epoch's (sliced) fetch order, for tracing
 	node    uint16
 	offset  int64
 	length  int32
-	samples []plan.Placed
+	samples []plan.Placed // shared with the FS unit plan; read-only
 	chunks  []*hugepage.Chunk
 	next    int
 
-	// assembled holds per-sample pool buffers (parallel to samples)
-	// when the unit was fetched through server assembly: the target
-	// extracted each record, so there are no chunks to copy from and
-	// NextBatch hands the buffers out directly. Entries are nil'ed as
-	// they are emitted; ownership of the remainder stays with the unit.
-	assembled [][]byte
+	// records holds one ready-to-emit pool buffer per sample (parallel
+	// to samples) when the unit was server-assembled or served from the
+	// lookahead store, which holds nothing but records. There are no
+	// chunks to copy from: NextBatch hands the buffers out directly.
+	// Entries are nil'ed as they are emitted; ownership of the
+	// remainder stays with the unit.
+	records [][]byte
 }
 
 // chunkCount returns how many cache chunks the unit spans.
@@ -589,11 +599,38 @@ func (fs *FS) sequence(seed int64, rank, world int) (*Epoch, error) {
 	return fs.sequenceRange(seed, rank, world, 0, -1)
 }
 
-// buildUnits constructs the deterministic (unshuffled) unit plan.
+// buildUnits returns a fresh copy of the deterministic (unshuffled)
+// unit plan, ready to be shuffled and filled by one epoch or prefetch
+// round.
 func (fs *FS) buildUnits() ([]*unit, error) {
+	tmpl, err := fs.unitPlan()
+	if err != nil {
+		return nil, err
+	}
+	backing := make([]unit, len(tmpl))
+	copy(backing, tmpl)
+	units := make([]*unit, len(backing))
+	for i := range backing {
+		units[i] = &backing[i]
+	}
+	return units, nil
+}
+
+// unitPlan returns the mount's unit plan, built once: it is a pure
+// function of the placement, which never changes after mount. Callers
+// must not modify the returned units.
+func (fs *FS) unitPlan() ([]unit, error) {
 	if fs.closed.Load() {
 		return nil, ErrClosed
 	}
+	fs.planOnce.Do(func() { fs.planUnits, fs.planErr = fs.computeUnitPlan() })
+	return fs.planUnits, fs.planErr
+}
+
+// computeUnitPlan derives the unit plan from the placement: the chunk
+// units and edge samples of plan.BuildChunkPlan, sorted by (node,
+// offset).
+func (fs *FS) computeUnitPlan() ([]unit, error) {
 	n := len(fs.targets)
 	layout := &plan.Layout{NodeSamples: make([][]plan.Placed, n), ChunkSize: int64(fs.cfg.ChunkSize)}
 	for idx, pl := range fs.placed {
@@ -608,12 +645,12 @@ func (fs *FS) buildUnits() ([]*unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	var units []*unit
+	units := make([]unit, 0, len(cp.Chunks)+len(cp.Edges))
 	for _, c := range cp.Chunks {
-		units = append(units, &unit{node: c.Node, offset: c.Offset, length: c.Length, samples: c.Samples})
+		units = append(units, unit{node: c.Node, offset: c.Offset, length: c.Length, samples: c.Samples})
 	}
 	for _, e := range cp.Edges {
-		units = append(units, &unit{node: e.Node, offset: e.Placed.Offset, length: e.Placed.Len, samples: []plan.Placed{e.Placed}})
+		units = append(units, unit{node: e.Node, offset: e.Placed.Offset, length: e.Placed.Len, samples: []plan.Placed{e.Placed}})
 	}
 	// Deterministic global order: sort by (node, offset) before the
 	// seeded shuffle so the slice a rank consumes depends only on the
@@ -799,11 +836,11 @@ func (ep *Epoch) degradedNodes() []int {
 	return nodes
 }
 
-// fetchGroup brings a coalesced group into cache chunks: lookahead
-// store hits are copied straight in (no wire), the remainder goes
-// through the wire pipeline. A wire failure releases every chunk of
-// the group — including store-served ones — before returning so
-// degraded skips never leak arena memory.
+// fetchGroup brings a coalesced group in: lookahead store hits take
+// their stored records (no wire, no copy), the remainder goes through
+// the wire pipeline. A wire failure releases every unit's payload —
+// including store-served records — before returning so degraded skips
+// never leak arena or pool memory.
 func (ep *Epoch) fetchGroup(g *fetchGroup) error {
 	fs := ep.fs
 	misses := g.units
@@ -823,18 +860,16 @@ func (ep *Epoch) fetchGroup(g *fetchGroup) error {
 }
 
 // freeUnit releases whatever payload a unit holds — arena cache chunks
-// and/or server-assembled sample buffers — after a failure or abort.
+// or per-sample records — after a failure or abort.
 func (fs *FS) freeUnit(u *unit) {
 	if u.chunks != nil {
 		fs.arena.Free(u.chunks)
 		u.chunks = nil
 	}
-	if u.assembled != nil {
-		for _, b := range u.assembled {
-			fs.Recycle(b)
-		}
-		u.assembled = nil
+	for _, b := range u.records {
+		fs.Recycle(b)
 	}
+	u.records = nil
 }
 
 // fetchWire is the wire half of fetchGroup. Prep stage: allocate every
@@ -987,12 +1022,12 @@ func verifyAssembled(xform byte, units []*unit) error {
 		return nil
 	}
 	for _, u := range units {
-		for si, b := range u.assembled {
+		for si, b := range u.records {
 			body, ok := nvmetcp.VerifyCRC32C(b)
 			if !ok {
 				return fmt.Errorf("live: crc32c mismatch on sample %d", u.samples[si].Sample)
 			}
-			u.assembled[si] = body
+			u.records[si] = body
 		}
 	}
 	return nil
@@ -1018,10 +1053,10 @@ func (ep *Epoch) fetchAssembled(tg *target, units []*unit) error {
 	segs := make([]nvmetcp.SampleSeg, 0, nsamples)
 	var sampleBytes, unitBytes int64
 	for _, u := range units {
-		u.assembled = make([][]byte, len(u.samples))
+		u.records = make([][]byte, len(u.samples))
 		for si, pl := range u.samples {
 			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
-			u.assembled[si] = buf
+			u.records[si] = buf
 			segs = append(segs, nvmetcp.SampleSeg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
 			sampleBytes += int64(len(buf))
 		}
@@ -1097,7 +1132,7 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 	if ep.finished {
 		return nil, false, nil
 	}
-	var items []Item
+	items := make([]Item, 0, ep.fs.cfg.BatchSize)
 	for len(items) < ep.fs.cfg.BatchSize {
 		// Refill the resident window without blocking.
 		for !ep.readyClosed && len(ep.resident) < ep.fs.cfg.Window {
@@ -1143,11 +1178,11 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 		u.next++
 		cstart := time.Now()
 		var buf []byte
-		if u.assembled != nil {
-			// Server-assembled unit: the target already extracted the
-			// record into a pool buffer — hand it out, no copy stage.
-			buf = u.assembled[idx]
-			u.assembled[idx] = nil
+		if u.records != nil {
+			// Server-assembled or store-served unit: the record is
+			// already in its own pool buffer — hand it out, no copy.
+			buf = u.records[idx]
+			u.records[idx] = nil
 		} else {
 			buf = ep.fs.alloc(int(pl.Len))
 			copyFromChunks(u, pl, buf, ep.fs.cfg.ChunkSize)
@@ -1161,7 +1196,7 @@ func (ep *Epoch) NextBatch() ([]Item, bool, error) {
 				ep.fs.arena.Free(u.chunks)
 				u.chunks = nil
 			}
-			u.assembled = nil // every entry already handed out
+			u.records = nil // every entry already handed out
 			ep.fs.cfg.Trace.Record(trace.KindFree, u.seq, u.node, 0)
 			ep.resident = append(ep.resident[:k], ep.resident[k+1:]...)
 		}

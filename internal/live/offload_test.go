@@ -226,6 +226,11 @@ func TestServerAssemblyPrefetchWarmsNextEpoch(t *testing.T) {
 	if got := warm.WireReads - cold.WireReads; got != 0 {
 		t.Fatalf("warm epoch still issued %d wire reads", got)
 	}
+	// Both sides count record bytes: chunk padding and edge overfetch
+	// are never part of a store hit.
+	if warm.PrefetchHitBytes != cold.PrefetchedBytes {
+		t.Fatalf("hit bytes %d != prefetched bytes %d", warm.PrefetchHitBytes, cold.PrefetchedBytes)
+	}
 }
 
 // TestClusterPrefetchConsultsPeersFirst: on a cluster mount the

@@ -21,11 +21,11 @@ import (
 // is known arbitrarily far ahead). Once the current epoch's dispatcher
 // has handed out all of its fetch groups, the queue pairs spend the
 // tail of the epoch mostly idle between completions; the prefetcher
-// fills those gaps with coalesced reads for next-epoch units, parking
-// the payloads in a bounded lookahead store. When the next epoch's
-// fetchGroup finds its unit in the store it copies straight into cache
-// chunks and skips the wire — a warm epoch opens with near-zero poll
-// time.
+// fills those gaps with coalesced reads for next-epoch units and parks
+// them in a bounded lookahead store as ready-to-emit per-sample records
+// — the form the epoch consumes. When the next epoch's fetchGroup finds
+// its unit in the store it takes the records and skips both the wire
+// and the copy stage: a warm NextBatch just hands out buffers.
 //
 // The store is bounded by Config.PrefetchBudgetBytes and best-effort
 // throughout: a full budget stops the prefetcher (it never evicts what
@@ -45,19 +45,18 @@ type unitKey struct {
 	length int32
 }
 
-// pfEntry is one parked unit payload. Exactly one form is set: data
-// holds the unit's raw byte range (chunk-path prefetch), samples holds
-// per-record pool buffers parallel to the unit's sample list
-// (server-assembled or peer-served prefetch).
+func (u *unit) key() unitKey { return unitKey{node: u.node, offset: u.offset, length: u.length} }
+
+// pfEntry is one parked unit: a pool buffer per record, parallel to
+// the unit's sample list.
 type pfEntry struct {
-	data    []byte
-	samples [][]byte
+	records [][]byte
 }
 
-// size reports the entry's budget footprint.
+// size reports the entry's budget footprint: its record bytes.
 func (e pfEntry) size() int64 {
-	n := int64(len(e.data))
-	for _, b := range e.samples {
+	var n int64
+	for _, b := range e.records {
 		n += int64(len(b))
 	}
 	return n
@@ -65,10 +64,7 @@ func (e pfEntry) size() int64 {
 
 // release recycles every buffer the entry owns.
 func (e pfEntry) release(free func([]byte)) {
-	if e.data != nil {
-		free(e.data)
-	}
-	for _, b := range e.samples {
+	for _, b := range e.records {
 		if b != nil {
 			free(b)
 		}
@@ -217,7 +213,7 @@ func (fs *FS) runPrefetch(seed int64, rank, world int) {
 		if len(group) == 0 {
 			return
 		}
-		round += fs.fetchAhead(group, groupBytes)
+		round += fs.fetchAhead(group)
 		group = group[:0]
 		groupBytes = 0
 	}
@@ -244,10 +240,11 @@ func (fs *FS) runPrefetch(seed int64, rank, world int) {
 // only) — units fully resident on the owning rank park without
 // touching the storage wire; only the residual misses are fetched,
 // through server assembly when the target offers it, else as one
-// vectored read into pooled buffers. Best-effort: breaker refusals and
-// transport errors drop the group (the next epoch pays the wire for
-// those units as usual). Returns the bytes stored.
-func (fs *FS) fetchAhead(group []*unit, groupBytes int64) int64 {
+// vectored read with one unit-sized pool buffer per segment, which is
+// then split into records. Best-effort: breaker refusals and transport
+// errors drop the group (the next epoch pays the wire for those units
+// as usual). Returns the bytes stored.
+func (fs *FS) fetchAhead(group []*unit) int64 {
 	group, stored := fs.prefetchFromPeers(group)
 	if len(group) == 0 {
 		return stored
@@ -267,11 +264,9 @@ func (fs *FS) fetchAhead(group []*unit, groupBytes int64) int64 {
 	}
 	bufs := make([][]byte, len(group))
 	segs := make([]nvmetcp.Seg, len(group))
-	var bytes int64
 	for i, u := range group {
 		bufs[i] = fs.alloc(int(u.length))
 		segs[i] = nvmetcp.Seg{Dst: bufs[i], Off: u.offset}
-		bytes += int64(u.length)
 	}
 	pd, err := tg.qp.ReadVecAsync(segs)
 	if err == nil {
@@ -285,12 +280,35 @@ func (fs *FS) fetchAhead(group []*unit, groupBytes int64) int64 {
 		return stored
 	}
 	tg.brk.Success()
+	var recBytes int64
 	for i, u := range group {
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, pfEntry{data: bufs[i]})
+		e := fs.splitRecords(u, bufs[i])
+		recBytes += e.size()
+		fs.prefetch.put(u.key(), e)
 	}
 	fs.pipe.PrefetchedUnits.Add(int64(len(group)))
-	fs.pipe.PrefetchedBytes.Add(bytes)
-	return stored + bytes
+	fs.pipe.PrefetchedBytes.Add(recBytes)
+	return stored + recBytes
+}
+
+// splitRecords turns a unit's raw byte range into per-sample records,
+// taking ownership of buf. A unit that is a single sample spanning the
+// whole range (an edge unit) keeps buf as its record; otherwise each
+// sample is copied into its own pool buffer and buf is recycled. The
+// copy runs here, in the prefetch round, so the epoch that consumes
+// the unit does none.
+func (fs *FS) splitRecords(u *unit, buf []byte) pfEntry {
+	if len(u.samples) == 1 && u.samples[0].Len == u.length {
+		return pfEntry{records: [][]byte{buf}}
+	}
+	records := make([][]byte, len(u.samples))
+	for si, pl := range u.samples {
+		off := pl.Offset - u.offset
+		records[si] = fs.alloc(int(pl.Len))
+		copy(records[si], buf[off:off+int64(pl.Len)])
+	}
+	fs.Recycle(buf)
+	return pfEntry{records: records}
 }
 
 // prefetchFromPeers tries to satisfy predicted units from the
@@ -318,28 +336,21 @@ func (fs *FS) prefetchFromPeers(group []*unit) ([]*unit, int64) {
 			misses = append(misses, u)
 			continue
 		}
-		samples := make([][]byte, len(u.samples))
-		ok := true
-		var sz int64
+		e := pfEntry{records: make([][]byte, len(u.samples))}
+		complete := true
 		for si, pl := range u.samples {
-			buf := fs.peerFetch(owner, pl.Sample, int(pl.Len))
-			if buf == nil {
-				ok = false
+			if e.records[si] = fs.peerFetch(owner, pl.Sample, int(pl.Len)); e.records[si] == nil {
+				complete = false
 				break
 			}
-			samples[si] = buf
-			sz += int64(len(buf))
 		}
-		if !ok {
-			for _, b := range samples {
-				if b != nil {
-					fs.Recycle(b)
-				}
-			}
+		if !complete {
+			e.release(fs.Recycle)
 			misses = append(misses, u)
 			continue
 		}
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, pfEntry{samples: samples})
+		sz := e.size()
+		fs.prefetch.put(u.key(), e)
 		fs.pipe.PrefetchedUnits.Add(1)
 		fs.pipe.PrefetchedBytes.Add(sz)
 		stored += sz
@@ -357,10 +368,10 @@ func (fs *FS) prefetchAssembled(tg *target, group []*unit) (int64, error) {
 	entries := make([]pfEntry, len(group))
 	var segs []nvmetcp.SampleSeg
 	for i, u := range group {
-		entries[i].samples = make([][]byte, len(u.samples))
+		entries[i].records = make([][]byte, len(u.samples))
 		for si, pl := range u.samples {
 			buf := fs.alloc(nvmetcp.TransformOutLen(xform, int(pl.Len)))
-			entries[i].samples[si] = buf
+			entries[i].records[si] = buf
 			segs = append(segs, nvmetcp.SampleSeg{Dst: buf, Off: pl.Offset, N: int(pl.Len)})
 		}
 	}
@@ -372,13 +383,13 @@ func (fs *FS) prefetchAssembled(tg *target, group []*unit) (int64, error) {
 	}
 	if ferr == nil && xform == nvmetcp.TransformCRC32C {
 		for i := range entries {
-			for si, b := range entries[i].samples {
+			for si, b := range entries[i].records {
 				body, ok := nvmetcp.VerifyCRC32C(b)
 				if !ok {
 					ferr = fmt.Errorf("live: crc32c mismatch on prefetched sample %d", group[i].samples[si].Sample)
 					break
 				}
-				entries[i].samples[si] = body
+				entries[i].records[si] = body
 			}
 			if ferr != nil {
 				break
@@ -400,7 +411,7 @@ func (fs *FS) prefetchAssembled(tg *target, group []*unit) (int64, error) {
 	var stored, unitBytes int64
 	for i, u := range group {
 		sz := entries[i].size()
-		fs.prefetch.put(unitKey{node: u.node, offset: u.offset, length: u.length}, entries[i])
+		fs.prefetch.put(u.key(), entries[i])
 		stored += sz
 		unitBytes += int64(u.length)
 	}
@@ -437,49 +448,31 @@ func (fs *FS) epochSlice(seed int64, rank, world int) ([]*unit, error) {
 }
 
 // serveFromStore satisfies as many of g's units as the lookahead store
-// holds. A raw-range hit copies straight from the stored payload into
-// freshly allocated cache chunks (prep-stage work, no wire); a
-// per-sample hit (server-assembled or peer-served prefetch) hands the
-// record buffers to the unit directly — no chunks, no copy stage.
-// Returns the units that missed and must be fetched. Called by
-// fetchGroup.
+// holds. A hit hands the stored record buffers to the unit — no wire,
+// no chunks, no copy stage. Returns the units that missed and must be
+// fetched. Called by fetchGroup.
 func (ep *Epoch) serveFromStore(g *fetchGroup) []*unit {
 	fs := ep.fs
-	cs := fs.cfg.ChunkSize
 	misses := g.units[:0:0]
 	var hit bool
 	prep := time.Now()
 	for _, u := range g.units {
-		e, ok := fs.prefetch.take(unitKey{node: u.node, offset: u.offset, length: u.length})
+		e, ok := fs.prefetch.take(u.key())
 		if !ok {
 			misses = append(misses, u)
 			continue
 		}
-		if e.samples != nil {
-			if len(e.samples) == len(u.samples) {
-				u.assembled = e.samples
-			} else {
-				// Predicted sample split diverged from the actual
-				// epoch's (shouldn't happen — the plan is a pure
-				// function of placement); drop rather than mis-emit.
-				e.release(fs.Recycle)
-				misses = append(misses, u)
-				continue
-			}
-		} else {
-			nc := u.chunkCount(cs)
-			u.chunks = fs.arena.AllocN(nc)
-			for ci := 0; ci < nc; ci++ {
-				end := (ci + 1) * cs
-				if end > int(u.length) {
-					end = int(u.length)
-				}
-				copy(u.chunks[ci].Bytes(), e.data[ci*cs:end])
-			}
-			fs.Recycle(e.data)
+		if len(e.records) != len(u.samples) {
+			// Predicted sample split diverged from the actual epoch's
+			// (shouldn't happen — the plan is a pure function of
+			// placement); drop rather than mis-emit.
+			e.release(fs.Recycle)
+			misses = append(misses, u)
+			continue
 		}
+		u.records = e.records
 		fs.pipe.PrefetchHitUnits.Add(1)
-		fs.pipe.PrefetchHitBytes.Add(int64(u.length))
+		fs.pipe.PrefetchHitBytes.Add(e.size())
 		fs.cfg.Trace.Record(trace.KindComplete, u.seq, u.node, int(u.length))
 		hit = true
 	}

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dlfs/internal/dataset"
@@ -79,6 +81,107 @@ func TestCrossEpochPrefetchWarmsNextEpoch(t *testing.T) {
 	}
 }
 
+// TestWarmEpochHandsOffStoreRecords pins the zero-copy warm path: the
+// lookahead store holds ready-to-emit records, so a warm epoch's items
+// are exactly the stored buffers — no wire read, no copy into a fresh
+// buffer, and (with the consumer recycling its batches) well under one
+// heap allocation per sample.
+func TestWarmEpochHandsOffStoreRecords(t *testing.T) {
+	addrs := startTargets(t, 2)
+	ds := testDS(600, 3000) // 32 KiB chunks: multi-sample units and edge units
+	fs, err := Mount(addrs, ds, Config{
+		ChunkSize:          32 << 10,
+		CacheBytes:         1 << 20,
+		CrossEpochPrefetch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+
+	drainRecycling := func(seed int64, check func(Item)) int {
+		ep, err := fs.Sequence(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			items, ok, err := ep.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				check(it)
+			}
+			n += len(items)
+			fs.RecycleItems(items)
+			if !ok {
+				return n
+			}
+		}
+	}
+	// Expected checksums are computed up front: Dataset.Checksum
+	// regenerates the sample, which would pollute the malloc count.
+	want := make([]uint32, ds.Len())
+	for i := range want {
+		want[i] = ds.Checksum(i)
+	}
+	verify := func(it Item) {
+		if dataset.ChecksumBytes(it.Data) != want[it.Index] {
+			t.Fatalf("sample %d corrupt", it.Index)
+		}
+	}
+	// The lookahead round normally runs concurrently with the epoch's
+	// tail, and how far it races ahead of the consumer's recycling
+	// decides whether its records are fresh allocations or recycled
+	// ones. Hold it off and run each round after its epoch, so the
+	// pool's state — and the count below — is the same on every run.
+	// The collector stays off too: a collection empties sync.Pool.
+	fs.prefetchBusy.Store(true)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Two warm-up epochs: the first fills the store over the wire, the
+	// second is the first warm one. Afterwards every record buffer has
+	// been recycled once, so the pool is in its steady state.
+	for seed := int64(1); seed <= 2; seed++ {
+		drainRecycling(seed, verify)
+		fs.runPrefetch(seed+1, 0, 1)
+	}
+
+	stored := make(map[*byte]bool)
+	fs.prefetch.mu.Lock()
+	for _, e := range fs.prefetch.entries {
+		for _, b := range e.records {
+			stored[&b[0]] = true
+		}
+	}
+	fs.prefetch.mu.Unlock()
+	if len(stored) != ds.Len() {
+		t.Fatalf("store holds %d records, want %d", len(stored), ds.Len())
+	}
+
+	before := fs.Pipeline().Snapshot()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	n := drainRecycling(3, func(it Item) {
+		if !stored[&it.Data[0]] {
+			t.Fatalf("sample %d was not handed out from its stored record", it.Index)
+		}
+		verify(it)
+	})
+	runtime.ReadMemStats(&ms)
+	perSample := float64(ms.Mallocs-mallocs) / float64(n)
+	if n != ds.Len() {
+		t.Fatalf("warm epoch delivered %d of %d", n, ds.Len())
+	}
+	if got := fs.Pipeline().Snapshot().WireReads - before.WireReads; got != 0 {
+		t.Fatalf("warm epoch issued %d wire reads", got)
+	}
+	if perSample > 0.5 && !raceEnabled {
+		t.Fatalf("warm epoch: %.2f mallocs/sample, want <= 0.5", perSample)
+	}
+}
+
 // TestCrossEpochPrefetchSlices: on a sliced (cluster-shaped) sequence
 // the prediction must match the next epoch's slice for the same rank —
 // hits only make sense if the shuffle derivation is identical.
@@ -153,13 +256,14 @@ func TestPrefetchStoreBudget(t *testing.T) {
 	s := newPrefetchStore(100, pipe, func(b []byte) { freed += len(b) })
 
 	k := func(i int) unitKey { return unitKey{node: 0, offset: int64(i * 100), length: 40} }
-	s.put(k(1), pfEntry{data: make([]byte, 40)})
-	s.put(k(2), pfEntry{data: make([]byte, 40)})
+	rec := func(n int) pfEntry { return pfEntry{records: [][]byte{make([]byte, n)}} }
+	s.put(k(1), rec(40))
+	s.put(k(2), rec(40))
 	if got := s.residentBytes(); got != 80 {
 		t.Fatalf("resident %d, want 80", got)
 	}
 	// Third insert exceeds the budget: the oldest entry is evicted.
-	s.put(k(3), pfEntry{data: make([]byte, 40)})
+	s.put(k(3), rec(40))
 	if got := s.residentBytes(); got != 80 {
 		t.Fatalf("resident %d after eviction, want 80", got)
 	}
@@ -182,13 +286,13 @@ func TestPrefetchStoreBudget(t *testing.T) {
 	}
 	// A duplicate put keeps the original and frees the newcomer.
 	freed = 0
-	s.put(k(3), pfEntry{data: make([]byte, 40)})
+	s.put(k(3), rec(40))
 	if freed != 40 {
 		t.Fatal("duplicate put must free the new buffer")
 	}
 	// An entry larger than the whole budget is refused outright.
 	freed = 0
-	s.put(unitKey{node: 9}, pfEntry{data: make([]byte, 200)})
+	s.put(unitKey{node: 9}, rec(200))
 	if freed != 200 {
 		t.Fatal("over-budget put must free the buffer")
 	}

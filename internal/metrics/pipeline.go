@@ -35,9 +35,9 @@ type Pipeline struct {
 	// current epoch's poll gaps, and epoch units later served from it
 	// without touching the wire.
 	PrefetchedUnits   atomic.Int64 // units fetched ahead into the lookahead store
-	PrefetchedBytes   atomic.Int64 // bytes fetched ahead into the lookahead store
+	PrefetchedBytes   atomic.Int64 // record bytes parked in the lookahead store
 	PrefetchHitUnits  atomic.Int64 // epoch units served from the lookahead store
-	PrefetchHitBytes  atomic.Int64 // epoch bytes served from the lookahead store
+	PrefetchHitBytes  atomic.Int64 // epoch record bytes served from the lookahead store
 	PrefetchEvictions atomic.Int64 // lookahead entries evicted before use
 
 	// Cooperative peer cache (live.Config.PeerCache): the ReadSample miss

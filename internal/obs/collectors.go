@@ -120,9 +120,9 @@ func PipelineCollector(client string, snap func() metrics.PipelineSnapshot) func
 		WriteCounter(w, "dlfs_client_cache_misses_total", "ReadSample that went to the wire.", s.CacheMisses, lbl...)
 		WriteCounter(w, "dlfs_client_cache_evictions_total", "V-bit cache CLOCK evictions.", s.CacheEvictions, lbl...)
 		WriteCounter(w, "dlfs_client_prefetched_units_total", "Units fetched ahead into the cross-epoch lookahead store.", s.PrefetchedUnits, lbl...)
-		WriteCounter(w, "dlfs_client_prefetched_bytes_total", "Bytes fetched ahead into the cross-epoch lookahead store.", s.PrefetchedBytes, lbl...)
+		WriteCounter(w, "dlfs_client_prefetched_bytes_total", "Record bytes parked in the cross-epoch lookahead store.", s.PrefetchedBytes, lbl...)
 		WriteCounter(w, "dlfs_client_prefetch_hit_units_total", "Epoch units served from the lookahead store instead of the wire.", s.PrefetchHitUnits, lbl...)
-		WriteCounter(w, "dlfs_client_prefetch_hit_bytes_total", "Epoch bytes served from the lookahead store.", s.PrefetchHitBytes, lbl...)
+		WriteCounter(w, "dlfs_client_prefetch_hit_bytes_total", "Epoch record bytes served from the lookahead store.", s.PrefetchHitBytes, lbl...)
 		WriteCounter(w, "dlfs_client_prefetch_evictions_total", "Lookahead entries evicted before use.", s.PrefetchEvictions, lbl...)
 		WriteCounter(w, "dlfs_client_peer_hits_total", "ReadSample misses served by a peer's cache.", s.PeerHits, lbl...)
 		WriteCounter(w, "dlfs_client_peer_bytes_total", "Bytes served by peers.", s.PeerBytes, lbl...)
