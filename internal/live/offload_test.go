@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -369,5 +370,110 @@ func TestChaosOffloadDeadTargetDegrades(t *testing.T) {
 	}
 	if pl.OffloadCmds == 0 {
 		t.Fatal("healthy targets never served offload commands")
+	}
+}
+
+// TestPrefetchRoundDowngradesLegacyTargets pins the lookahead store's
+// capability path on its own: a prefetch round that reaches legacy
+// targets before any epoch has latched them must downgrade each target
+// exactly once, leave every breaker closed (a missing opcode is not a
+// health failure), and still park verified records, so the first epoch
+// opens warm with no wire reads.
+func TestPrefetchRoundDowngradesLegacyTargets(t *testing.T) {
+	addrs := startLegacyTargets(t, 2)
+	ds := testDS(100, 2000)
+	fs, err := Mount(addrs, ds, Config{
+		ChunkSize:          8 << 10,
+		CacheBytes:         1 << 20,
+		ServerAssembly:     true,
+		CrossEpochPrefetch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+
+	fs.runPrefetch(3, 0, 1)
+	pl := fs.Pipeline().Snapshot()
+	if pl.OffloadDowngrades != int64(len(fs.targets)) {
+		t.Fatalf("OffloadDowngrades = %d, want one per target (%d)", pl.OffloadDowngrades, len(fs.targets))
+	}
+	if pl.PrefetchedUnits == 0 {
+		t.Fatal("the downgraded round parked nothing")
+	}
+	for i, st := range fs.Stats().Targets {
+		if st.State != "closed" {
+			t.Fatalf("target %d breaker %q after a capability downgrade, want closed", i, st.State)
+		}
+		if !fs.targets[i].noAssembly.Load() {
+			t.Fatalf("target %d capability latch not set by the prefetch round", i)
+		}
+	}
+
+	ep, err := fs.Sequence(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := drainAndVerify(t, ep, ds); n != ds.Len() {
+		t.Fatalf("delivered %d of %d", n, ds.Len())
+	}
+	if got := fs.Pipeline().Snapshot().WireReads - pl.WireReads; got != 0 {
+		t.Fatalf("epoch after the prefetch round issued %d wire reads, want 0", got)
+	}
+}
+
+// TestServerAssemblyCRC32CPrefetch pins the store sink's verification
+// path: records prefetched under the crc32c transform are checked and
+// stripped before they park, so the warm epoch hands out exactly the
+// samples' bytes without touching the wire.
+func TestServerAssemblyCRC32CPrefetch(t *testing.T) {
+	ds := testDS(80, 2000)
+	fs, err := Mount(startTargets(t, 2), ds, Config{
+		ChunkSize:          8 << 10,
+		CacheBytes:         1 << 20,
+		ServerAssembly:     true,
+		AssemblyTransform:  int(nvmetcp.TransformCRC32C),
+		CrossEpochPrefetch: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close() //nolint:errcheck
+
+	ep1, err := fs.Sequence(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := drainAndVerify(t, ep1, ds); n != ds.Len() {
+		t.Fatalf("epoch 1 delivered %d of %d", n, ds.Len())
+	}
+	fs.WaitPrefetch()
+	cold := fs.Pipeline().Snapshot()
+	if cold.PrefetchedUnits == 0 {
+		t.Fatalf("no lookahead happened: %+v", cold)
+	}
+
+	ep2, err := fs.Sequence(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := ep2.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != ds.Len() {
+		t.Fatalf("warm epoch delivered %d of %d", len(items), ds.Len())
+	}
+	for _, it := range items {
+		if !bytes.Equal(it.Data, ds.Content(it.Index)) {
+			t.Fatalf("warm sample %d differs from its content (%d vs %d bytes)", it.Index, len(it.Data), len(ds.Content(it.Index)))
+		}
+	}
+	warm := fs.Pipeline().Snapshot()
+	if got := warm.WireReads - cold.WireReads; got != 0 {
+		t.Fatalf("warm epoch issued %d wire reads, want 0", got)
+	}
+	if warm.PrefetchHitUnits == 0 {
+		t.Fatal("warm epoch never hit the lookahead store")
 	}
 }
