@@ -66,8 +66,8 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count=$(BENCHCOUNT) \
 		./internal/live ./internal/nvmetcp ./internal/bufpool
 
-# Server engine matrix: legacy goroutine-per-command baseline vs the
-# RPQ/SCQ worker pool, staged vs zero-copy, across client queue depths.
+# Server engine matrix: the RPQ/SCQ worker pool at 1/4/8 workers,
+# staged vs zero-copy, across client queue depths.
 bench-target:
 	$(GO) test -run '^$$' -bench BenchmarkTargetServe -benchmem -count=$(BENCHCOUNT) \
 		./internal/nvmetcp

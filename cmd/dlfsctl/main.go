@@ -128,8 +128,6 @@ func cmdSmoke(args []string) {
 	n := fs.Int("n", 500, "samples")
 	size := fs.Int("size", 4096, "sample size")
 	qps := fs.Int("qps", 0, "queue pairs per target (0 takes the default)")
-	nocoalesce := fs.Bool("no-coalesce", false, "disable request coalescing (one wire read per chunk)")
-	nopool := fs.Bool("no-pool", false, "disable the sample buffer pool")
 	serverAssembly := fs.Bool("server-assembly", false, "offload sample extraction to the targets (opReadSamples)")
 	tenant := fs.Int("tenant", 0, "tenant id stamped on every command (0 = legacy tenant)")
 	assemblyXform := fs.Int("assembly-transform", 0, "server-side transform ID (0 none, 1 crc32c-verify, 3 stride-subsample)")
@@ -179,7 +177,7 @@ func cmdSmoke(args []string) {
 	}
 	ds := dataset.Generate(dataset.Config{Label: "smoke", Seed: 2, NumSamples: *n, Dist: dataset.Fixed(*size)})
 	cfg := live.Config{
-		QueuePairs: *qps, NoCoalesce: *nocoalesce, NoBufferPool: *nopool, StageHistograms: true,
+		QueuePairs: *qps, StageHistograms: true,
 		ServerAssembly: *serverAssembly, AssemblyTransform: *assemblyXform, Tenant: *tenant,
 	}
 	if *dead >= 0 {

@@ -56,7 +56,7 @@ type Store struct {
 	// observability of how often writes collide with in-flight views.
 	cowClones atomic.Int64
 
-	// adoptedExts counts extents landed zero-copy by WriteVecAdopt — the
+	// adoptedExts counts extents landed zero-copy by WriteVecAdoptSegs — the
 	// write-side analogue of zero-copy read views.
 	adoptedExts atomic.Int64
 }
@@ -162,69 +162,15 @@ func (s *Store) WriteVecAt(data []byte, offs []int64, lens []int) (int, error) {
 	return n, nil
 }
 
-// WriteVecAdopt lands a gathered write like WriteVecAt, but any span of
-// it that covers a whole extent-aligned extent is adopted zero-copy: the
-// corresponding sub-slice of data becomes the extent's backing array by
-// pointer swap instead of being copied into store memory. Adoption is
-// strictly better than copy-on-write — the displaced array is left
-// intact, so a pinned view that aliases it keeps reading the untorn
-// pre-write image for free. Misaligned or partial spans fall back to the
-// copying path under the same single lock acquisition and epoch bump.
-//
-// It returns the byte count and the number of extents adopted. When
-// adopted > 0 the store owns sub-slices of data's backing array: the
-// caller must treat the buffer as transferred and never recycle or
-// mutate it again.
-func (s *Store) WriteVecAdopt(data []byte, offs []int64, lens []int) (int, int, error) {
-	total := 0
-	for i, ln := range lens {
-		if err := s.check(offs[i], ln); err != nil {
-			return 0, 0, err
-		}
-		total += ln
-	}
-	if total != len(data) {
-		return 0, 0, fmt.Errorf("%w: gathered %d bytes for %d described", ErrOutOfRange, len(data), total)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch.Add(1) // odd: write in flight
-	defer s.epoch.Add(1)
-	n, adopted := 0, 0
-	for i, ln := range lens {
-		seg := data[n : n+ln]
-		off := offs[i]
-		done := 0
-		for done < ln {
-			within := (off + int64(done)) % extentSize
-			chunk := extentSize - int(within)
-			if rem := ln - done; chunk > rem {
-				chunk = rem
-			}
-			if within == 0 && chunk == extentSize {
-				ext := (off + int64(done)) / extentSize
-				s.extents[ext] = seg[done : done+extentSize : done+extentSize]
-				adopted++
-			} else {
-				s.writeLocked(seg[done:done+chunk], off+int64(done))
-			}
-			done += chunk
-		}
-		if end := off + int64(ln); end > s.written {
-			s.written = end
-		}
-		n += ln
-	}
-	if adopted > 0 {
-		s.adoptedExts.Add(int64(adopted))
-	}
-	return n, adopted, nil
-}
-
-// WriteVecAdoptSegs is the per-segment form of WriteVecAdopt: segs[i]
-// lands at offs[i], all under one lock acquisition and one epoch bump.
-// Segments that cover whole aligned extents are adopted by pointer
-// swap; the rest are copied.
+// WriteVecAdoptSegs lands a gathered write like WriteVecAt, one buffer
+// per segment: segs[i] lands at offs[i], all under one lock acquisition
+// and one epoch bump. Any span of a segment that covers a whole
+// extent-aligned extent is adopted zero-copy: that sub-slice becomes
+// the extent's backing array by pointer swap instead of being copied
+// into store memory. Adoption is strictly better than copy-on-write —
+// the displaced array is left intact, so a pinned view that aliases it
+// keeps reading the untorn pre-write image for free. The rest is
+// copied. It returns the byte count and the number of extents adopted.
 //
 // The returned recycle list holds buffers that are safe to hand back
 // to a pool: input segments that were fully copied (the store kept no
@@ -305,7 +251,7 @@ func (s *Store) UnpinViews() { s.viewPins.Add(-1) }
 // because a write landed while views were pinned.
 func (s *Store) CowClones() int64 { return s.cowClones.Load() }
 
-// AdoptedExtents reports how many extents WriteVecAdopt has landed by
+// AdoptedExtents reports how many extents WriteVecAdoptSegs has landed by
 // pointer swap instead of copy.
 func (s *Store) AdoptedExtents() int64 { return s.adoptedExts.Load() }
 
@@ -317,6 +263,32 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.readLocked(p, off), nil
+}
+
+// ReadVecAt is the read-side mirror of WriteVecAt: dsts[i] is filled
+// from offs[i], every segment under one lock acquisition. A gathered
+// write (WriteVecAt, WriteVecAdoptSegs) is therefore seen by all of the
+// segments or by none, never torn between them, as it would be by one
+// ReadAt per segment.
+func (s *Store) ReadVecAt(dsts [][]byte, offs []int64) (int, error) {
+	for i, p := range dsts {
+		if err := s.check(offs[i], len(p)); err != nil {
+			return 0, err
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for i, p := range dsts {
+		n += s.readLocked(p, offs[i])
+	}
+	return n, nil
+}
+
+// readLocked copies [off, off+len(p)) into p. The caller holds s.mu
+// and has range-checked the request.
+func (s *Store) readLocked(p []byte, off int64) int {
 	n := 0
 	for n < len(p) {
 		ext := (off + int64(n)) / extentSize
@@ -332,7 +304,7 @@ func (s *Store) ReadAt(p []byte, off int64) (int, error) {
 		}
 		n += chunk
 	}
-	return n, nil
+	return n
 }
 
 func zero(b []byte) {

@@ -24,13 +24,21 @@ func TestRecycleHit(t *testing.T) {
 	a := p.Get(1000)
 	p.Put(a)
 	b := p.Get(900)
+	hits, misses, puts := p.Stats()
+	if puts != 1 || hits+misses != 2 {
+		t.Fatalf("stats = %d/%d/%d, want 2 gets and 1 put", hits, misses, puts)
+	}
+	if raceEnabled {
+		// The race detector makes sync.Pool drop Puts at random, so
+		// whether the second Get hits is up to chance.
+		return
+	}
 	if &a[0] != &b[0] {
 		// sync.Pool may drop buffers under GC pressure, but in a quiet
 		// unit test the buffer must come back.
 		t.Fatal("recycled buffer not reused")
 	}
-	hits, misses, puts := p.Stats()
-	if hits != 1 || misses != 1 || puts != 1 {
+	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d/%d/%d, want 1/1/1", hits, misses, puts)
 	}
 	if r := p.HitRate(); r != 0.5 {

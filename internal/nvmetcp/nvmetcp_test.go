@@ -345,37 +345,6 @@ func TestRestageAfterWriteEpochChange(t *testing.T) {
 	}
 }
 
-// TestLegacyEngineRoundTrip keeps the per-command-goroutine baseline
-// path working (it anchors BenchmarkTargetServe).
-func TestLegacyEngineRoundTrip(t *testing.T) {
-	store := blockdev.New(1 << 20)
-	tgt := NewTargetConfig(store, Config{Depth: 8, PerCmdGoroutines: true})
-	addr, err := tgt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tgt.Close() }) //nolint:errcheck
-	in, err := Connect(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close() //nolint:errcheck
-	data := []byte("legacy data path")
-	if _, err := in.WriteAt(data, 512); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := in.ReadAt(got, 512); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("legacy round trip: %q", got)
-	}
-	if st := tgt.ServerStats(); st.ZeroCopyBytes != 0 || st.StagedBytes != int64(len(data)) {
-		t.Fatalf("legacy accounting zero-copy=%d staged=%d", st.ZeroCopyBytes, st.StagedBytes)
-	}
-}
-
 func TestCapsuleRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := &capsule{cmdID: 42, opcode: opWrite, status: statusOK, offset: 1 << 33, payload: []byte("hi")}
